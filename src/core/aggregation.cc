@@ -36,7 +36,9 @@ double Average(std::span<const double> scores) {
 }
 
 double Median(std::span<const double> scores) {
-  std::vector<double> sorted(scores.begin(), scores.end());
+  // Reused per thread: a median-aggregated GroupContext calls this per item.
+  thread_local std::vector<double> sorted;
+  sorted.assign(scores.begin(), scores.end());
   std::sort(sorted.begin(), sorted.end());
   const size_t n = sorted.size();
   if (n % 2 == 1) return sorted[n / 2];

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 
 #include "cf/top_k.h"
 #include "common/logging.h"
@@ -37,33 +36,52 @@ Result<GroupContext> GroupContext::Build(
 
   GroupContext ctx;
   ctx.options_ = options;
-  for (const MemberRelevance& m : members) ctx.members_.push_back(m.user);
   const size_t n = members.size();
-
-  // Merge the per-member (item-ascending) lists into per-item score rows.
-  std::map<ItemId, std::vector<double>> rows;
-  for (size_t m = 0; m < n; ++m) {
-    for (const ScoredItem& s : members[m].relevance) {
-      auto [it, inserted] = rows.try_emplace(s.item);
-      if (inserted) it->second.assign(n, kUndefined);
-      it->second[m] = s.score;
-    }
+  ctx.members_.reserve(n);
+  size_t shortest = members[0].relevance.size();
+  for (const MemberRelevance& m : members) {
+    ctx.members_.push_back(m.user);
+    shortest = std::min(shortest, m.relevance.size());
   }
+  if (options.require_all_members) ctx.candidates_.reserve(shortest);
 
-  for (auto& [item, scores] : rows) {
-    std::vector<double> defined;
-    defined.reserve(n);
-    for (const double s : scores) {
-      if (IsDefined(s)) defined.push_back(s);
+  // n-way cursor merge of the (strictly item-ascending) lists: each step takes
+  // the smallest item under any cursor and advances every cursor on it. A
+  // member is undefined on an item it lacks or scores NaN; the aggregation
+  // runs over the defined scores in member order.
+  std::vector<size_t> cursor(n, 0);
+  std::vector<double> scores(n);
+  std::vector<double> defined;
+  defined.reserve(n);
+  for (;;) {
+    bool any = false;
+    ItemId item = kInvalidItemId;
+    for (size_t m = 0; m < n; ++m) {
+      const std::vector<ScoredItem>& list = members[m].relevance;
+      if (cursor[m] < list.size() && (!any || list[cursor[m]].item < item)) {
+        item = list[cursor[m]].item;
+        any = true;
+      }
     }
+    if (!any) break;
+    defined.clear();
+    for (size_t m = 0; m < n; ++m) {
+      const std::vector<ScoredItem>& list = members[m].relevance;
+      scores[m] = kUndefined;
+      if (cursor[m] < list.size() && list[cursor[m]].item == item) {
+        scores[m] = list[cursor[m]++].score;
+        if (IsDefined(scores[m])) defined.push_back(scores[m]);
+      }
+    }
+    // An item no member defines has nothing to aggregate, whatever the policy.
+    if (defined.empty()) continue;
     if (options.require_all_members && defined.size() != n) continue;
-    GroupCandidate candidate;
+    GroupCandidate& candidate = ctx.candidates_.emplace_back();
     candidate.item = item;
     candidate.group_relevance =
         Aggregate(std::span<const double>(defined), options.aggregation,
                   options.aggregation_params);
-    candidate.member_relevance = std::move(scores);
-    ctx.candidates_.push_back(std::move(candidate));
+    candidate.member_relevance = scores;
   }
 
   ctx.RebuildTopKSets();
@@ -72,20 +90,30 @@ Result<GroupContext> GroupContext::Build(
 
 void GroupContext::RebuildTopKSets() {
   const size_t n = members_.size();
+  const size_t num = candidates_.size();
   top_k_.assign(n, {});
-  top_k_flags_.assign(n, std::vector<uint8_t>(candidates_.size(), 0));
+  top_k_flags_.assign(n * num, 0);
+  // One buffer for every member. It carries the candidate *index* in the item
+  // slot: candidates ascend by item id, so index order is item order and the
+  // (score desc, item asc) top-k is the same selection, with no lookup back.
+  std::vector<ScoredItem> scored;
+  scored.reserve(num);
   for (size_t m = 0; m < n; ++m) {
-    std::vector<ScoredItem> defined;
-    defined.reserve(candidates_.size());
-    for (const GroupCandidate& c : candidates_) {
-      const double s = c.member_relevance[m];
-      if (IsDefined(s)) defined.push_back({c.item, s});
+    scored.clear();
+    for (size_t c = 0; c < num; ++c) {
+      const double s = candidates_[c].member_relevance[m];
+      if (IsDefined(s)) scored.push_back({static_cast<ItemId>(c), s});
     }
-    top_k_[m] = SelectTopK(defined, options_.top_k);
-    for (const ScoredItem& s : top_k_[m]) {
-      const int32_t index = CandidateIndexOf(s.item);
-      FAIRREC_DCHECK(index >= 0);
-      top_k_flags_[m][static_cast<size_t>(index)] = 1;
+    const size_t k =
+        std::min(scored.size(), static_cast<size_t>(options_.top_k));
+    const auto kth = scored.begin() + static_cast<ptrdiff_t>(k);
+    std::partial_sort(scored.begin(), kth, scored.end(), ScoredItemBetter);
+    std::vector<ScoredItem>& top = top_k_[m];
+    top.reserve(k);
+    for (size_t r = 0; r < k; ++r) {
+      const size_t c = static_cast<size_t>(scored[r].item);
+      top.push_back({candidates_[c].item, scored[r].score});
+      top_k_flags_[m * num + c] = 1;
     }
   }
 }
@@ -135,8 +163,8 @@ bool GroupContext::InMemberTopK(int32_t member_index,
                                 int32_t candidate_index) const {
   FAIRREC_DCHECK(member_index >= 0 && member_index < group_size());
   FAIRREC_DCHECK(candidate_index >= 0 && candidate_index < num_candidates());
-  return top_k_flags_[static_cast<size_t>(member_index)]
-                     [static_cast<size_t>(candidate_index)] != 0;
+  return top_k_flags_[static_cast<size_t>(member_index) * candidates_.size() +
+                      static_cast<size_t>(candidate_index)] != 0;
 }
 
 const std::vector<ScoredItem>& GroupContext::MemberTopK(

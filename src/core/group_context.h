@@ -80,8 +80,8 @@ class GroupContext {
   GroupContextOptions options_;
   std::vector<GroupCandidate> candidates_;        // ascending item id
   std::vector<std::vector<ScoredItem>> top_k_;    // per member: A_u
-  // top_k_flags_[member][candidate_index]: candidate in A_u?
-  std::vector<std::vector<uint8_t>> top_k_flags_;
+  // top_k_flags_[member * num_candidates() + candidate_index]: in A_u?
+  std::vector<uint8_t> top_k_flags_;
 };
 
 }  // namespace fairrec

@@ -1,8 +1,13 @@
 #include "core/aggregation.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace fairrec {
 namespace {
@@ -55,6 +60,34 @@ TEST(AggregationTest, MedianOddAndEven) {
   EXPECT_DOUBLE_EQ(Aggregate(std::vector<double>{4.0, 1.0, 3.0, 2.0},
                              AggregationKind::kMedian),
                    2.5);
+}
+
+TEST(AggregationTest, MedianMatchesSortThenMiddleBitForBit) {
+  // Sizes 1-9 in a shuffled order, so a reused sort buffer shrinks and grows
+  // between calls; values on a coarse grid, so ties are common.
+  Rng rng(7);
+  std::vector<size_t> sizes;
+  for (int round = 0; round < 200; ++round) {
+    for (size_t n = 1; n <= 9; ++n) sizes.push_back(n);
+  }
+  rng.Shuffle(sizes);
+  for (const size_t n : sizes) {
+    std::vector<double> scores(n);
+    for (double& s : scores) {
+      s = rng.NextBool(0.5) ? 0.5 * static_cast<double>(rng.UniformInt(0, 4))
+                            : rng.UniformReal(-1.0, 5.0);
+    }
+    std::vector<double> sorted = scores;
+    std::sort(sorted.begin(), sorted.end());
+    const double want = n % 2 == 1
+                            ? sorted[n / 2]
+                            : (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0;
+    const std::vector<double> before = scores;
+    const double got = Aggregate(scores, AggregationKind::kMedian);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+        << "size " << n;
+    EXPECT_EQ(scores, before);  // the input is left as it was
+  }
 }
 
 TEST(AggregationTest, MedianRobustToOneOutlier) {

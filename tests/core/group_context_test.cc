@@ -66,6 +66,25 @@ TEST(GroupContextTest, PartialItemsKeptWhenPolicyRelaxed) {
   EXPECT_TRUE(std::isnan(ctx.candidate(1).member_relevance[1]));
 }
 
+// A NaN score inside a list is "undefined", like an absent item; an item no
+// member defines is no candidate even when partial items are kept.
+TEST(GroupContextTest, ItemNoMemberDefinesIsNotACandidate) {
+  MemberRelevance a;
+  a.user = 1;
+  a.relevance = {{3, kNaN}, {5, 2.0}};
+  MemberRelevance b;
+  b.user = 2;
+  b.relevance = {{3, kNaN}, {4, 1.0}};
+  GroupContextOptions options;
+  options.require_all_members = false;
+  const GroupContext ctx =
+      std::move(GroupContext::Build({a, b}, options)).ValueOrDie();
+  ASSERT_EQ(ctx.num_candidates(), 2);
+  EXPECT_EQ(ctx.candidate(0).item, 4);
+  EXPECT_EQ(ctx.candidate(1).item, 5);
+  EXPECT_EQ(ctx.CandidateIndexOf(3), -1);
+}
+
 TEST(GroupContextTest, CandidateIndexLookup) {
   const GroupContext ctx = ContextFromDense({{4.0, kNaN, 5.0}, {3.0, kNaN, 2.0}});
   EXPECT_EQ(ctx.CandidateIndexOf(0), 0);
